@@ -153,9 +153,19 @@ class QuantumBackend:
                     cols.append(np.full(self.shots, int(bits), dtype=np.int64))
             if not cols:
                 return Counter({"": self.shots})
-            mat = np.stack(cols, axis=1)
+            # Each shot's row as one ASCII bytes scalar ("0"/"1" per
+            # measurement), so the strings are decoded once per distinct
+            # row, not per shot.  Inserting the rows in first-occurrence
+            # order keeps the Counter equal to, and iterating like, one
+            # built shot by shot.
+            chars = (np.stack(cols, axis=1) != 0).astype(np.uint8) + ord("0")
+            rows = chars.view(f"S{chars.shape[1]}").reshape(-1)
+            uniq, first, inverse = np.unique(
+                rows, return_index=True, return_inverse=True
+            )
+            tally = np.bincount(inverse.reshape(-1), minlength=len(uniq))
             return Counter(
-                "".join("1" if b else "0" for b in row) for row in mat
+                {uniq[k].decode(): int(tally[k]) for k in np.argsort(first)}
             )
 
     # ------------------------------------------------------------------

@@ -77,7 +77,14 @@ from .schedule import (
     compile_segments,
     iter_stretches,
 )
-from .shots import branch_mask, fork_outcomes
+from .shots import (
+    branch_mask,
+    branch_sq_norms,
+    collapse_branches,
+    fork_outcomes,
+    keeps_branches,
+    scale_branches,
+)
 from .statevector import SimulationError
 
 __all__ = ["ShardedStateVector"]
@@ -1541,22 +1548,35 @@ class ShardedStateVector:
     # ------------------------------------------------------------------
     # measurement and inspection
     # ------------------------------------------------------------------
-    def _branch_prob_one(self, qubit: int) -> np.ndarray:
-        """Per-branch probability of |1> on ``qubit``, shape ``(B,)``."""
+    def _measured_views(self, qubit: int, chunks=None, n_branches: int | None = None):
+        """Per chunk, ``(view, outcomes)`` with ``qubit`` on axis 1.
+
+        A local qubit gives a ``(B, 2, hi, lo)`` view holding both
+        outcomes; a shard-axis qubit gives ``(B, 1, size)``, holding the
+        one outcome the chunk index selects.  ``chunks`` defaults to the
+        live chunks; a fork passes its new generation (same chunk
+        layout, ``n_branches`` rows each).
+        """
         b = self._bit(qubit)
         nl = self.n_local
-        B = self._n_branches
-        p = np.zeros(B)
+        if chunks is None:
+            chunks, n_branches = self._chunks, self._n_branches
         if b < nl:
-            stride = 1 << b
-            for c in self._chunks:
-                v = np.abs(c.reshape(B, -1, 2, stride)[:, :, 1, :]) ** 2
-                p += v.reshape(B, -1).sum(axis=1)
-        else:
-            mask = 1 << (b - nl)
-            for i, c in enumerate(self._chunks):
-                if i & mask:
-                    p += (np.abs(c.reshape(B, -1)) ** 2).sum(axis=1)
+            return [
+                (c.reshape(n_branches, -1, 2, 1 << b).transpose(0, 2, 1, 3), (0, 1))
+                for c in chunks
+            ]
+        return [
+            (c.reshape(n_branches, 1, -1), ((ci >> (b - nl)) & 1,))
+            for ci, c in enumerate(chunks)
+        ]
+
+    def _branch_prob_one(self, qubit: int) -> np.ndarray:
+        """Per-branch probability of |1> on ``qubit``, shape ``(B,)``."""
+        p = np.zeros(self._n_branches)
+        for v, outcomes in self._measured_views(qubit):
+            if 1 in outcomes:
+                p += branch_sq_norms(v[:, outcomes.index(1)])
         return np.clip(p, 0.0, 1.0)
 
     def prob_one(self, qubit: int):
@@ -1567,10 +1587,8 @@ class ShardedStateVector:
         probability branch-dependent, the per-shot values are returned
         as an array instead.
         """
-        if self._shots is None:
-            return float(self._branch_prob_one(qubit)[0])
         p = self._branch_prob_one(qubit)
-        if np.ptp(p) < self._agree_eps:
+        if self._shots is None or np.ptp(p) < self._agree_eps:
             return float(p[0])
         return p[self._shot_of]
 
@@ -1580,7 +1598,10 @@ class ShardedStateVector:
         Returns 0 or 1; in shots mode returns a
         :class:`~repro.sim.shots.ShotBits` of per-shot outcomes, and
         every chunk's branch rows fork into one row per surviving
-        ``(branch, outcome)`` pair.
+        ``(branch, outcome)`` pair.  A measurement that forks nothing
+        collapses every chunk in place, wherever it lives (RAM, shared
+        memory or a spill file); a fork installs its new chunks through
+        :meth:`_store_chunks`.
         """
         if self._shots is None:
             p1 = self.prob_one(qubit)
@@ -1589,27 +1610,19 @@ class ShardedStateVector:
             return bit
         p1 = self._branch_prob_one(qubit)
         bits, self._shot_of, spec = fork_outcomes(p1, self._shot_of, self.rng)
-        b = self._bit(qubit)
-        nl = self.n_local
-        csize = self.chunk_size
-        B_old = self._n_branches
-        new_chunks = []
-        for ci, c in enumerate(self._chunks):
-            v = c.reshape(B_old, csize)
-            out = np.zeros((len(spec), csize), dtype=self._dtype)
-            for i, (src, outcome, scale) in enumerate(spec):
-                # float(scale) keeps the scalar weak under NEP 50 so a
-                # complex64 register is not promoted (exact for float64).
-                if b < nl:
-                    row = v[src] * float(scale)
-                    row.reshape(-1, 2, 1 << b)[:, 1 - outcome, :] = 0.0
-                    out[i] = row
-                elif ((ci >> (b - nl)) & 1) == outcome:
-                    out[i] = v[src] * float(scale)
-                # else: this chunk holds the projected-away half — zero.
-            new_chunks.append(out.reshape(-1))
-        self._n_branches = len(spec)
-        self._store_chunks(new_chunks)
+        views = self._measured_views(qubit)
+        if keeps_branches(spec, self._n_branches):
+            for v, outcomes in views:
+                collapse_branches(v, spec, outcomes=outcomes)
+            return bits
+        B = len(spec)
+        new = [np.zeros(B * self.chunk_size, dtype=self._dtype) for _ in views]
+        for (v, outcomes), (dst, _) in zip(
+            views, self._measured_views(qubit, new, B)
+        ):
+            collapse_branches(v, spec, dst, outcomes)
+        self._n_branches = B
+        self._store_chunks(new)
         return bits
 
     def apply_pauli_if(self, cond, pauli: str, qubit: int) -> None:
@@ -1675,40 +1688,31 @@ class ShardedStateVector:
             c.reshape(B, -1)[mask] = r
 
     def postselect(self, qubit: int, bit: int) -> None:
-        """Project ``qubit`` onto ``|bit>`` and renormalize (per branch)."""
-        b = self._bit(qubit)
-        nl = self.n_local
-        if b < nl:
-            stride = 1 << b
-            for c in self._chunks:
-                c.reshape(-1, 2, stride)[:, 1 - bit, :] = 0.0
-        else:
-            mask = 1 << (b - nl)
-            for i, c in enumerate(self._chunks):
-                if bool(i & mask) != bool(bit):
-                    c[:] = 0.0
-        if self._shots is None:
-            norm = self.norm()
-            if norm < self._norm_eps:
-                raise SimulationError(
-                    f"postselecting qubit {qubit} on {bit}: outcome has zero "
-                    "probability"
-                )
-            for c in self._chunks:
-                c /= norm
-            return
-        B = self._n_branches
-        sq = np.zeros(B)
-        for c in self._chunks:
-            sq += (np.abs(c.reshape(B, -1)) ** 2).sum(axis=1)
+        """Project ``qubit`` onto ``|bit>`` and renormalize (per branch).
+
+        In place, wherever the chunks live: the dropped amplitudes are
+        zeroed, the kept ones summed once and scaled by ``1/norm`` in
+        the real dtype (see :func:`~repro.sim.shots.scale_branches`).
+        """
+        views = self._measured_views(qubit)
+        sq = np.zeros(self._n_branches)
+        for v, outcomes in views:
+            for j, o in enumerate(outcomes):
+                if o == bit:
+                    sq += branch_sq_norms(v[:, j])
+                else:
+                    v[:, j] = 0.0
         norms = np.sqrt(sq)
         if np.any(norms < self._norm_eps):
+            where = "" if self._shots is None else " in some branch"
             raise SimulationError(
                 f"postselecting qubit {qubit} on {bit}: outcome has zero "
-                "probability in some branch"
+                f"probability{where}"
             )
-        for c in self._chunks:
-            c.reshape(B, -1)[:] /= norms[:, None]
+        inv = np.reciprocal(norms.astype(np.finfo(self._dtype).dtype))
+        for v, outcomes in views:
+            if bit in outcomes:
+                scale_branches(v[:, outcomes.index(bit)], inv)
 
     def measure_many(self, qubits: Iterable[int]) -> list[int]:
         """Measure several qubits sequentially (with collapse)."""
@@ -1758,10 +1762,9 @@ class ShardedStateVector:
         In shots mode this is the root-mean-square of the per-branch
         norms, so it stays ~1 regardless of how many branches exist.
         """
-        sq = sum(float(np.sum(np.abs(c) ** 2)) for c in self._chunks)
-        if self._shots is not None:
-            sq /= self._n_branches
-        return float(np.sqrt(sq))
+        B = self._n_branches
+        sq = sum(float(np.sum(branch_sq_norms(c.reshape(B, -1)))) for c in self._chunks)
+        return float(np.sqrt(sq / B))
 
     def expectation_pauli(self, mapping: dict[int, str]) -> float:
         """Expectation value of a Pauli string ``{qubit: 'X'|'Y'|'Z'}``."""

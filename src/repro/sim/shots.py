@@ -38,7 +38,16 @@ from collections import Counter
 
 import numpy as np
 
-__all__ = ["ShotBits", "ShotDivergenceError", "fork_outcomes", "branch_mask"]
+__all__ = [
+    "ShotBits",
+    "ShotDivergenceError",
+    "fork_outcomes",
+    "keeps_branches",
+    "collapse_branches",
+    "branch_sq_norms",
+    "scale_branches",
+    "branch_mask",
+]
 
 
 class ShotDivergenceError(RuntimeError):
@@ -219,6 +228,84 @@ def fork_outcomes(p1, shot_of, rng):
             new_shot_of[sel] = len(spec)
             spec.append((b, outcome, 1.0 / math.sqrt(p)))
     return ShotBits(bits), new_shot_of, spec
+
+
+def keeps_branches(spec, n_branches: int) -> bool:
+    """Whether a fork ``spec`` leaves every branch at its own index.
+
+    True when no ``(branch, outcome)`` pair split and none vanished —
+    every deterministic measurement, e.g. each GHZ qubit after the
+    first — so the engines collapse their state in place.
+    """
+    return len(spec) == n_branches and all(s[0] == i for i, s in enumerate(spec))
+
+
+def collapse_branches(src, spec, dst=None, outcomes=(0, 1)) -> None:
+    """Project and renormalize every branch of a measured ``(B, 2, ...)`` view.
+
+    ``src`` holds the branch rows on axis 0 and the measured qubit on
+    axis 1; ``outcomes`` names the qubit values present on axis 1 —
+    both, or only the one a sharded chunk holds when the qubit is a
+    shard axis (a ``(B, 1, ...)`` view).  New branch ``i`` of ``spec``
+    (see :func:`fork_outcomes`) gets old branch ``b``'s ``outcome`` half
+    times ``scale`` and zeros in the other half.
+
+    With ``dst=None`` the collapse runs in place, which requires
+    :func:`keeps_branches`; otherwise ``dst`` is the matching view of a
+    freshly zeroed ``(len(spec), 2, ...)`` state and only the kept
+    halves are written (the projected-away pages of a fresh ``np.zeros``
+    are never touched).  The arithmetic is one complex multiply by
+    ``float(scale)`` per kept amplitude (a weak scalar under NEP 50, so
+    complex64 stays complex64); ``scale == 1.0`` skips the in-place
+    multiply, which would not change a bit.
+    """
+    for i, (b, outcome, scale) in enumerate(spec):
+        scale = float(scale)
+        for j, o in enumerate(outcomes):
+            if dst is not None:
+                if o == outcome:
+                    # ``...`` keeps a view when only the measured qubit is left.
+                    np.multiply(src[b, j, ...], scale, out=dst[i, j, ...])
+            elif o != outcome:
+                src[i, j] = 0.0
+            elif scale != 1.0:
+                src[i, j] *= scale
+
+
+def _float_pairs(x: np.ndarray) -> np.ndarray:
+    """Float view ``(..., 2)`` of the real and imaginary parts of ``x``.
+
+    Works for any strides (``x.view(float)`` needs a contiguous last
+    axis), allocates nothing, and is writeable when ``x`` is.
+    """
+    re = x.real
+    return np.lib.stride_tricks.as_strided(
+        re, x.shape + (2,), x.strides + (re.itemsize,)
+    )
+
+
+def branch_sq_norms(x: np.ndarray) -> np.ndarray:
+    """Per-branch sum of ``|x|^2`` over every axis but the first, shape ``(B,)``.
+
+    One ``einsum`` pass over the float view of ``x``: no ``|x|``
+    temporary and no reshape copy of a strided view.  The result has
+    the real dtype of ``x``.
+    """
+    f = _float_pairs(x)
+    axes = list(range(f.ndim))
+    return np.einsum(f, axes, f, axes, [0])
+
+
+def scale_branches(x: np.ndarray, factors: np.ndarray) -> None:
+    """Multiply branch row ``b`` of the ``(B, ...)`` view ``x`` by ``factors[b]``.
+
+    In place, through the float view, so a real factor costs one real
+    multiply per component.  With ``factors = 1/norm`` in the real
+    dtype this is exactly the reciprocal multiply a complex
+    ``x /= norm`` performs, without its division loop.
+    """
+    f = _float_pairs(x)
+    f *= factors.reshape((-1,) + (1,) * (f.ndim - 1))
 
 
 def branch_mask(cond, shot_of, n_branches: int) -> np.ndarray:

@@ -28,7 +28,14 @@ from . import gates as G
 from .diag import DiagBatch, chunk_phase
 from .kernels import KernelDispatch
 from .schedule import DEFAULT_COST_MODEL, DiagSegment, KernelRun, compile_segments
-from .shots import ShotBits, branch_mask, fork_outcomes
+from .shots import (
+    branch_mask,
+    branch_sq_norms,
+    collapse_branches,
+    fork_outcomes,
+    keeps_branches,
+    scale_branches,
+)
 
 __all__ = ["StateVector", "SimulationError"]
 
@@ -202,7 +209,9 @@ class StateVector:
                 f"qubit {qubit} is not in |0> (or is entangled); "
                 "measure/uncompute before releasing"
             )
-        self._psi = moved[0]
+        # A copy, not the moved[0] view: the view would pin the whole
+        # pre-release buffer (twice the new state) for the engine's life.
+        self._psi = moved[0].copy()
         self._drop_axis(qubit, ax)
 
     def measure_and_release(self, qubit: int) -> int:
@@ -530,12 +539,20 @@ class StateVector:
     # ------------------------------------------------------------------
     # measurement and inspection
     # ------------------------------------------------------------------
+    def _branches(self) -> np.ndarray:
+        """The state with a leading branch axis (``B = 1`` outside shots)."""
+        return self._psi if self._shots is not None else self._psi[None]
+
+    def _branch_view(self, qubit: int) -> np.ndarray:
+        """``(B, 2, ...)`` view of the state with ``qubit`` on axis 1."""
+        ax = self._axis(qubit)
+        if self._shots is None:
+            ax += 1  # past the branch axis _branches() prepends
+        return np.moveaxis(self._branches(), ax, 1)
+
     def _branch_prob_one(self, qubit: int) -> np.ndarray:
         """Per-branch probability of |1> on ``qubit``, shape ``(B,)``."""
-        ax = self._axis(qubit)
-        moved = np.moveaxis(self._psi, ax, 1)  # (B, 2, ...)
-        p = np.abs(moved[:, 1].reshape(moved.shape[0], -1)) ** 2
-        return np.clip(p.sum(axis=1), 0.0, 1.0)
+        return np.clip(branch_sq_norms(self._branch_view(qubit)[:, 1]), 0.0, 1.0)
 
     def prob_one(self, qubit: int):
         """Probability of measuring |1> on ``qubit`` (no collapse).
@@ -545,12 +562,8 @@ class StateVector:
         probability branch-dependent, the per-shot values are returned
         as an array instead.
         """
-        if self._shots is None:
-            ax = self._axis(qubit)
-            moved = np.moveaxis(self._psi, ax, 0)
-            return float(np.sum(np.abs(moved[1]) ** 2))
         p = self._branch_prob_one(qubit)
-        if np.ptp(p) < self._agree_eps:
+        if self._shots is None or np.ptp(p) < self._agree_eps:
             return float(p[0])
         return p[self._shot_of]
 
@@ -560,7 +573,9 @@ class StateVector:
         Returns 0 or 1; in shots mode returns a
         :class:`~repro.sim.shots.ShotBits` of per-shot outcomes, and the
         state forks into one branch per surviving ``(branch, outcome)``
-        pair.
+        pair.  A measurement that forks nothing collapses in place; a
+        fork allocates the new state once, C-contiguous in this
+        engine's axis order.
         """
         if self._shots is None:
             p1 = self.prob_one(qubit)
@@ -569,14 +584,13 @@ class StateVector:
             return bit
         p1 = self._branch_prob_one(qubit)
         bits, self._shot_of, spec = fork_outcomes(p1, self._shot_of, self.rng)
-        ax = self._axis(qubit)
-        moved = np.moveaxis(self._psi, ax, 1)  # (B, 2, ...)
-        new = np.zeros((len(spec),) + moved.shape[1:], dtype=moved.dtype)
-        for i, (b, outcome, scale) in enumerate(spec):
-            # float(scale) keeps the scalar weak under NEP 50 so a
-            # complex64 state is not promoted (exact for float64).
-            new[i, outcome] = moved[b, outcome] * float(scale)
-        self._psi = np.moveaxis(new, 1, ax)
+        if keeps_branches(spec, self._psi.shape[0]):
+            collapse_branches(self._branch_view(qubit), spec)
+        else:
+            ax = self._axis(qubit)
+            new = np.zeros((len(spec),) + self._psi.shape[1:], dtype=self._dtype)
+            collapse_branches(self._branch_view(qubit), spec, np.moveaxis(new, ax, 1))
+            self._psi = new
         return bits
 
     def apply_pauli_if(self, cond, pauli: str, qubit: int) -> None:
@@ -614,27 +628,23 @@ class StateVector:
             moved[mask] = out
 
     def postselect(self, qubit: int, bit: int) -> None:
-        """Project ``qubit`` onto ``|bit>`` and renormalize (per branch)."""
-        ax = self._axis(qubit)
-        moved = np.moveaxis(self._psi, ax, 0)
-        moved[1 - bit] = 0.0
-        if self._shots is None:
-            norm = np.linalg.norm(self._psi)
-            if norm < self._norm_eps:
-                raise SimulationError(
-                    f"postselecting qubit {qubit} on {bit}: outcome has zero "
-                    "probability"
-                )
-            self._psi /= norm
-            return
-        flat = np.abs(self._psi.reshape(self._psi.shape[0], -1)) ** 2
-        norms = np.sqrt(flat.sum(axis=1))
+        """Project ``qubit`` onto ``|bit>`` and renormalize (per branch).
+
+        In place: the dropped half is zeroed, the kept half is summed
+        once and scaled by ``1/norm`` (see
+        :func:`~repro.sim.shots.scale_branches`).
+        """
+        view = self._branch_view(qubit)
+        view[:, 1 - bit] = 0.0
+        kept = view[:, bit]
+        norms = np.sqrt(branch_sq_norms(kept))
         if np.any(norms < self._norm_eps):
+            where = "" if self._shots is None else " in some branch"
             raise SimulationError(
                 f"postselecting qubit {qubit} on {bit}: outcome has zero "
-                "probability in some branch"
+                f"probability{where}"
             )
-        self._psi /= norms.reshape((-1,) + (1,) * (self._psi.ndim - 1))
+        scale_branches(kept, np.reciprocal(norms))
 
     def measure_many(self, qubits: Iterable[int]) -> list[int]:
         """Measure several qubits sequentially (with collapse)."""
@@ -691,9 +701,8 @@ class StateVector:
         In shots mode this is the root-mean-square of the per-branch
         norms, so it stays ~1 regardless of how many branches exist.
         """
-        if self._shots is not None:
-            return float(np.linalg.norm(self._psi) / np.sqrt(self._psi.shape[0]))
-        return float(np.linalg.norm(self._psi))
+        sq = branch_sq_norms(self._branches())
+        return float(np.sqrt(np.sum(sq) / sq.size))
 
     def expectation_pauli(self, mapping: dict[int, str]) -> float:
         """Expectation value of a Pauli string ``{qubit: 'X'|'Y'|'Z'}``."""

@@ -226,6 +226,26 @@ def test_shared_and_sharded_shots_agree_bit_for_bit():
     b.close()
 
 
+def test_counts_equal_per_shot_histogram_in_first_occurrence_order():
+    # counts() builds one string per distinct shot row; the Counter must
+    # equal, and iterate like, one built shot by shot.
+    def prog(qc):
+        q = qc.alloc_qmem(4)
+        for x in q:
+            qc.h(x)
+        qc.cnot(q[0], q[1])
+        return [qc.measure(x) for x in q]
+
+    w = qmpi_run(1, prog, seed=8, shots=500)
+    cols = [m.values for m in w.results[0]]
+    per_shot = Counter(
+        "".join(str(int(c[s])) for c in cols) for s in range(500)
+    )
+    assert len(per_shot) > 4
+    assert list(w.counts.items()) == list(per_shot.items())
+    w.close()
+
+
 def test_mid_circuit_fork_conditional_fixup():
     # measure |+>, then undo the collapse with a conditioned X: the
     # second measurement must equal the first deterministically per shot
