@@ -12,13 +12,18 @@ Topology — a parent-side router with a star of duplex pipes:
 * **data plane**: numpy payloads at or above ``shm_min_bytes`` move
   through :mod:`multiprocessing.shared_memory` blocks
   (:mod:`repro.mpi.shm`); the pipes carry only small descriptors.
-* **service plane** (one pipe per rank): request/reply RPC frames for
-  parent-held state — the fabric's context-id counter, and whatever
-  ``service`` object the caller provides (the QMPI layer parks the
-  quantum backend and EPR rendezvous table there, see
-  :mod:`repro.qmpi.service`). Replies are matched by request id, so any
-  number of child threads can have calls in flight; asynchronous
-  parent -> child pushes arrive as ``notify`` frames on the same pipe.
+* **service plane** (one pipe per rank): RPC frames for parent-held
+  state — the fabric's context-id counter, and whatever ``service``
+  object the caller provides (the QMPI layer parks the quantum backend
+  and EPR rendezvous table there, see :mod:`repro.qmpi.service`).
+  ``call`` frames get a reply matched by request id, so any number of
+  child threads can have calls in flight; ``post`` frames get no reply
+  at all (a failure comes back as a ``fail`` frame and is raised by the
+  rank's next call or post). The router executes both kinds in pipe
+  order, and drains a rank's service pipe before routing any control
+  message from it, so a receiver observes every post its sender wrote
+  before the send. Asynchronous parent -> child pushes arrive as
+  ``notify`` frames on the same pipe.
 
 Lifecycle: spawn -> per-rank ``hello`` handshake -> broadcast ``go`` ->
 run -> per-rank ``result``/``error``/``aborted`` -> broadcast ``stop`` ->
@@ -84,7 +89,10 @@ class RpcClient:
     caller and hands ``notify`` frames to a single FIFO executor thread
     (EPR match continuations run there — never on the dispatcher, which
     must stay free to route the replies those continuations' own RPCs
-    need).
+    need). ``post`` frames carry no request id: the caller does not
+    wait, and the first ``fail`` frame the parent sends back is kept and
+    raised by every later :meth:`call`, :meth:`post` and :meth:`check`;
+    ``on_fail`` (if set) runs once when it arrives.
     """
 
     def __init__(self, conn, shm_min_bytes: int = SHM_MIN_BYTES):
@@ -95,6 +103,8 @@ class RpcClient:
         self._pending: dict[int, list] = {}  # rid -> [event, ok, value]
         self._plock = threading.Lock()
         self._lost: BaseException | None = None
+        self._deferred: BaseException | None = None  # first failed post
+        self.on_fail: Callable[[], None] | None = None
         self._notify_handler: Callable[[Any], None] | None = None
         self._notify_q: queue.SimpleQueue = queue.SimpleQueue()
         threading.Thread(
@@ -109,11 +119,19 @@ class RpcClient:
         thread, in arrival order)."""
         self._notify_handler = fn
 
-    def call(self, method: str, *args):
-        """Synchronous RPC: returns the parent's result or re-raises its
-        exception in this thread."""
+    def check(self) -> None:
+        """Raise the failure of an earlier :meth:`post` (or the lost
+        connection); a no-op while the service plane is healthy."""
+        if self._deferred is not None:
+            raise self._deferred
         if self._lost is not None:
             raise self._lost
+
+    def call(self, method: str, *args):
+        """Synchronous RPC: returns the parent's result or re-raises its
+        exception in this thread.  A post written before this call that
+        failed is raised instead: its ``fail`` frame precedes the reply."""
+        self.check()
         rid = next(self._ids)
         slot = [threading.Event(), False, None]
         with self._plock:
@@ -122,9 +140,25 @@ class RpcClient:
         with self._wlock:
             self._conn.send(("call", rid, method, payload))
         slot[0].wait()
-        if not slot[1]:
-            raise slot[2]
-        return decode_payload(slot[2])
+        _, ok, value = slot
+        if ok:
+            value = decode_payload(value)
+        self.check()
+        if not ok:
+            raise value
+        return value
+
+    def post(self, method: str, *args) -> None:
+        """Fire-and-forget RPC for methods that return nothing.
+
+        The parent executes it in pipe order with this client's calls;
+        a failure surfaces at the next :meth:`call`, :meth:`post` or
+        :meth:`check`.
+        """
+        self.check()
+        payload = tuple(encode_payload(a, self._shm_min_bytes) for a in args)
+        with self._wlock:
+            self._conn.send(("post", method, payload))
 
     def _dispatch(self) -> None:
         while True:
@@ -147,6 +181,11 @@ class RpcClient:
                 if slot is not None:
                     slot[1], slot[2] = ok, value
                     slot[0].set()
+            elif kind == "fail":
+                if self._deferred is None:
+                    self._deferred = msg[1]
+                    if self.on_fail is not None:
+                        self.on_fail()
             elif kind == "notify":
                 self._notify_q.put(msg[1])
 
@@ -279,6 +318,9 @@ def _child_main(
         return
     rpc = RpcClient(svc_conn, shm_min_bytes)
     fabric = MpFabric(rank, n_ranks, fab_conn, rpc, shm_min_bytes)
+    # A failed post dooms the rank: wake its blocking waits so the error
+    # surfaces at its next call instead of at the watchdog.
+    rpc.on_fail = fabric.abort.set
     comm = Communicator(fabric, context=0, group=tuple(range(n_ranks)), rank=rank)
     try:
         value = fn(comm, *args, **kwargs)
@@ -397,6 +439,9 @@ class _Job:
                 self.launched = True
                 self._broadcast(("go",))
         elif kind == "msg":
+            # Causal order: the sender wrote its posts before this send,
+            # so apply them before the receiver can act on the message.
+            self._drain_service(rank)
             env = msg[1]
             if env.dest in self.done:
                 scrub_payload(env.payload)  # receiver already gone
@@ -416,7 +461,7 @@ class _Job:
             self._start_abort()
 
     def _on_service(self, rank: int, msg: tuple) -> None:
-        _, rid, method, payload = msg
+        kind, method, payload = msg[0], msg[-2], msg[-1]
         try:
             if method == "_ctx_new":
                 result = next(self._ctx_counter)
@@ -425,13 +470,25 @@ class _Job:
             else:
                 args = tuple(decode_payload(a) for a in payload)
                 result = self.service.handle(rank, method, *args)
-            reply = ("reply", rid, True, encode_payload(result, self.transport.shm_min_bytes))
+            if kind == "post":
+                return
+            reply = ("reply", msg[1], True, encode_payload(result, self.transport.shm_min_bytes))
         except BaseException as exc:  # noqa: BLE001 - re-raised in the child
-            reply = ("reply", rid, False, _picklable_exc(exc))
+            exc = _picklable_exc(exc)
+            reply = ("fail", exc) if kind == "post" else ("reply", msg[1], False, exc)
         try:
             self.svc[rank].send(reply)
         except (BrokenPipeError, OSError):
             pass
+
+    def _drain_service(self, rank: int) -> None:
+        """Execute every service frame rank ``rank`` has written so far."""
+        conn = self.svc[rank]
+        try:
+            while conn.poll(0):
+                self._on_service(rank, conn.recv())
+        except (EOFError, OSError):
+            pass  # the main loop sees the same EOF and the sentinel
 
     def _on_dead(self, rank: int) -> None:
         self.procs[rank].join(0.2)
@@ -513,6 +570,9 @@ class _Job:
                     msg = conn.recv()
                     if msg[0] == "msg":
                         scrub_payload(msg[1].payload)
+                    elif msg[0] in ("call", "post"):
+                        for arg in msg[-1]:
+                            scrub_payload(arg)
             except (EOFError, OSError):
                 pass
             conn.close()

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..mpi import reduce_ops
 
 __all__ = ["cat_state_chain", "cat_state_tree", "uncat", "CatHandle"]
@@ -90,9 +88,28 @@ def _cat_dir(left_rank: int) -> int:
     return 10_000 + left_rank
 
 
-def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0, tag: int = 0) -> CatHandle:
-    """Prepare |cat(N)> along a spanning tree of ``graph`` (default: a
-    balanced binary tree over the ranks).
+def _bfs_children(graph, root: int) -> dict[int, list[int]]:
+    """Children of every node reached by a breadth-first search of
+    ``graph`` from ``root``, in ``networkx.bfs_tree`` order.
+
+    ``graph[node]`` iterates the neighbours of ``node``: an adjacency
+    mapping or a networkx graph.
+    """
+    children: dict[int, list[int]] = {root: []}
+    queue = [root]
+    for node in queue:  # grows while iterating: FIFO order
+        for nb in graph[node]:
+            if nb not in children:
+                children[node].append(nb)
+                children[nb] = []
+                queue.append(nb)
+    return children
+
+
+def cat_state_tree(qc, qubit: int, graph=None, root: int = 0, tag: int = 0) -> CatHandle:
+    """Prepare |cat(N)> along a spanning tree of ``graph`` (a networkx
+    graph or an adjacency mapping; default: a balanced binary tree over
+    the ranks).
 
     Generalizes the chain: each internal node merges one EPR half per
     child. The fixup parity for node k is the XOR of merge outcomes on the
@@ -109,14 +126,14 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
         if graph is None:
             # Binary-heap tree over ranks: spans 0..size-1, max degree 3,
             # so the EPR rounds (and hence quantum depth) stay constant.
-            graph = nx.Graph()
-            graph.add_nodes_from(range(size))
-            graph.add_edges_from(((i - 1) // 2, i) for i in range(1, size))
-        tree = nx.bfs_tree(graph, root)
-        if tree.number_of_nodes() != size:
+            graph = {i: [] for i in range(size)}
+            for i in range(1, size):
+                graph[(i - 1) // 2].append(i)
+                graph[i].append((i - 1) // 2)
+        children = _bfs_children(graph, root)
+        if len(children) != size:
             raise ValueError("graph does not span all ranks")
-        parent = {c: p for p, c in tree.edges()}
-        children = {n: list(tree.successors(n)) for n in tree.nodes()}
+        parent = {c: p for p, cs in children.items() for c in cs}
 
         # EPR half toward the parent lives in 'qubit' (it becomes the cat
         # share); one extra half per child.

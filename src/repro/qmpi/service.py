@@ -12,16 +12,29 @@ plane (:class:`repro.mpi.mp.RpcClient`).
 
 Division of labor:
 
-* **gates, measurement, allocation** — synchronous RPCs; the parent
-  router executes them in arrival order, so per-rank program order is
-  preserved exactly as the backend lock preserves it in-process.
-* **EPR rendezvous** — ``iprepare`` registers in the parent's real
-  :class:`~repro.qmpi.epr.EprService` and returns immediately; when the
-  peer shows up, the match is pushed to both ranks as a ``notify`` frame
-  and each rank runs its protocol continuation *locally* (CNOT, parity
-  measurement, classical fixup bits — each step an RPC / fabric message
-  of its own). Blocking ``prepare`` is ``iprepare().wait()`` with abort
-  polling, mirroring ``EprService._await``.
+* **gates, flushes, frees, transfers, Pauli fixups** — *posted*: the
+  rank writes the frame and keeps going (SENDQ charges a sender only
+  its overhead ``o``). A flush carries the raw op buffer; the parent
+  lowers it against the live register size and applies the batch, so
+  no flush waits on a ``num_qubits`` round trip.
+* **allocation, measurement, queries** — synchronous calls, because
+  the rank needs the answer.
+* **ordering** — the parent router executes posts and calls in pipe
+  order, so per-rank program order is preserved exactly as the backend
+  lock preserves it in-process; and it drains a rank's service pipe
+  before routing that rank's next fabric message, so whoever receives
+  the message sees every post written before it.
+* **errors** — a failing post comes back as a ``fail`` frame and is
+  raised, with its own type, by the rank's next call, post or EPR
+  ``wait()`` (at the latest by the closing ``ledger_merge`` call); it
+  also sets the rank's abort flag, so a blocked receive cannot stall.
+* **EPR rendezvous** — ``iprepare`` is posted: it registers in the
+  parent's real :class:`~repro.qmpi.epr.EprService`; when the peer
+  shows up, the match is pushed to both ranks as a ``notify`` frame and
+  each rank runs its protocol continuation *locally* (CNOT, parity
+  measurement, classical fixup bits — each step a post, call or fabric
+  message of its own). Blocking ``prepare`` is ``iprepare().wait()``
+  with abort polling, mirroring ``EprService._await``.
 * **resource accounting** — ledger scopes are keyed by thread identity,
   so each rank keeps a local :class:`~repro.qmpi.resource.Ledger` for
   row attribution and merges it into the parent's at teardown
@@ -40,6 +53,7 @@ from typing import Any, Callable, Sequence
 
 from ..mpi.errors import MpiAbort, TransportError
 from ..mpi.runtime import run_spmd
+from ..sim.schedule import lower_flush
 from . import ops as _ops
 from .backend import QuantumBackend
 from .epr import EprService
@@ -98,6 +112,9 @@ class QmpiServiceHost:
             name, rest = args[0], args[1:]
             if name == "num_qubits":
                 return self.backend.num_qubits
+            if name == "apply_flush":
+                self._apply_flush(*rest)
+                return None
             if name not in self.BACKEND_METHODS:
                 raise TransportError(f"backend method {name!r} not remotable")
             return getattr(self.backend, name)(*rest)
@@ -123,6 +140,18 @@ class QmpiServiceHost:
             return None
         raise TransportError(f"unknown QMPI service RPC {method!r}")
 
+    def _apply_flush(self, rank, ops, diag_batching, planning, cost_model) -> None:
+        # The pair OpStream.flush runs for a backend without apply_flush:
+        # the schedule cache stays out of the mp path.
+        ops = lower_flush(
+            ops,
+            self.backend.num_qubits,
+            diag_batching=diag_batching,
+            planning=planning,
+            cost_model=cost_model,
+        )
+        self.backend.apply_ops(rank, tuple(ops))
+
     def _merge_ledger(self, totals: tuple, rows: list) -> None:
         from .resource import OpRow
 
@@ -147,9 +176,10 @@ class BackendProxy:
     """Rank-process stand-in for the parent's :class:`QuantumBackend`.
 
     Same call surface (the :data:`~repro.qmpi.ops.GATESET` shims are
-    installed on this class too), every method one synchronous RPC.
-    Large results — ``statevector`` above the transport's shm threshold —
-    come back through the shared-memory data plane.
+    installed on this class too), every method one RPC: posted when it
+    returns nothing, a synchronous call otherwise. Large results —
+    ``statevector`` above the transport's shm threshold — come back
+    through the shared-memory data plane.
     """
 
     def __init__(self, rpc):
@@ -158,19 +188,26 @@ class BackendProxy:
     def _call(self, name, *args):
         return self._rpc.call("backend", name, *args)
 
+    def _post(self, name, *args) -> None:
+        self._rpc.post("backend", name, *args)
+
     def alloc(self, rank, n=1):
         return self._call("alloc", rank, n)
 
     def free(self, rank, qubits):
-        self._call("free", rank, list(qubits) if not isinstance(qubits, int) else qubits)
+        self._post("free", rank, list(qubits) if not isinstance(qubits, int) else qubits)
 
     def apply_ops(self, rank, ops):
         ops = tuple(ops)
         if ops:
-            self._call("apply_ops", rank, ops)
+            self._post("apply_ops", rank, ops)
+
+    def apply_flush(self, rank, ops, *, diag_batching, planning, cost_model):
+        """Post a raw flush buffer; the parent lowers and applies it."""
+        self._post("apply_flush", rank, tuple(ops), diag_batching, planning, cost_model)
 
     def apply(self, rank, u, *qubits):
-        self._call("apply", rank, u, *qubits)
+        self._post("apply", rank, u, *qubits)
 
     def measure(self, rank, q):
         return self._call("measure", rank, q)
@@ -179,7 +216,7 @@ class BackendProxy:
         return self._call("measure_and_release", rank, q)
 
     def apply_pauli_if(self, rank, cond, pauli, q):
-        self._call("apply_pauli_if", rank, cond, pauli, q)
+        self._post("apply_pauli_if", rank, cond, pauli, q)
 
     def prob_one(self, rank, q):
         return self._call("prob_one", rank, q)
@@ -194,7 +231,7 @@ class BackendProxy:
         return self._call("owned_by", rank)
 
     def transfer(self, qubit, new_rank):
-        self._call("transfer", qubit, new_rank)
+        self._post("transfer", qubit, new_rank)
 
     def qubit_ids(self):
         return self._call("qubit_ids")
@@ -219,7 +256,7 @@ def _proxy_gate_shim(gd: GateDef):
     shim.__qualname__ = f"BackendProxy.{gd.name}"
     shim.__doc__ = (
         f"``{gd.name}(rank, {gd.signature()})`` — forwarded to the parent "
-        f"backend as a one-op RPC batch."
+        f"backend as a one-op posted batch."
     )
     shim._gateset_shim = True
     return shim
@@ -246,6 +283,8 @@ class MpEprRequest:
 
     def wait(self) -> None:
         while not self._done.wait(timeout=0.05):
+            # A failed posted iprepare never matches: raise its error.
+            self._proxy._rpc.check()
             abort = self._proxy.abort
             if abort is not None and abort.is_set():
                 raise MpiAbort("job aborted while waiting for EPR rendezvous")
@@ -260,11 +299,12 @@ class EprProxy:
     """Rank-process stand-in for the parent's :class:`EprService`.
 
     ``iprepare`` registers the waiter locally *first*, then posts the
-    rendezvous RPC — the match notification can arrive before the RPC
-    reply (the peer may already be waiting), and the waiter must exist by
-    then. Match continuations run on the RPC client's notify-executor
-    thread in match order; the completion event fires only after the
-    continuation finished, matching the in-process contract.
+    rendezvous frame — the match notification can arrive as soon as the
+    parent reads it (the peer may already be waiting), and the waiter
+    must exist by then. Match continuations run on the RPC client's
+    notify-executor thread in match order; the completion event fires
+    only after the continuation finished, matching the in-process
+    contract.
     """
 
     def __init__(self, rpc, abort: threading.Event | None = None):
@@ -283,7 +323,7 @@ class EprProxy:
         with self._lock:
             self._waiters[token] = (req, on_match)
         try:
-            self._rpc.call("epr_iprepare", token, qubit, peer, tag, context, direction)
+            self._rpc.post("epr_iprepare", token, qubit, peer, tag, context, direction)
         except BaseException:
             with self._lock:
                 self._waiters.pop(token, None)
@@ -294,7 +334,7 @@ class EprProxy:
         self.iprepare(rank, qubit, peer, tag, context, direction).wait()
 
     def consume(self, rank) -> None:
-        self._rpc.call("epr_consume")
+        self._rpc.post("epr_consume")
 
     def buffered(self, rank) -> int:
         return self._rpc.call("epr_buffered")

@@ -30,8 +30,8 @@ from repro.mpi import (
     register_transport,
     run_spmd,
 )
-from repro.mpi.fabric import Mailbox
-from repro.mpi.mp import MpTransport
+from repro.mpi.fabric import Envelope, Mailbox
+from repro.mpi.mp import MpTransport, _Job
 
 
 def _all_transports():
@@ -309,3 +309,33 @@ def test_error_types_are_mpi_errors():
     assert issubclass(RecvTimeout, MpiError)
     assert issubclass(TransportError, MpiError)
     assert issubclass(MpiAbort, MpiError)
+
+
+# ----------------------------------------------------------------------
+# service plane: posts are applied before the sender's next message
+# ----------------------------------------------------------------------
+def test_mp_router_drains_posts_before_routing_a_message():
+    """White-box: the router must run rank 0's already-written posts
+    before it forwards rank 0's next control message (no processes are
+    started; the test writes the child ends of the pipes itself)."""
+    seen = []
+
+    class Service:
+        def handle(self, rank, method, *args):
+            # Has the message reached rank 1 yet?
+            seen.append((rank, method, child_fab[1].poll(0)))
+
+    job = _Job(MpTransport(), 2, _deadlock_rank, (), {}, 10.0, Service())
+    child_fab = [p._args[2] for p in job.procs]
+    child_svc = [p._args[3] for p in job.procs]
+    try:
+        child_svc[0].send(("post", "flip", ()))
+        child_svc[0].send(("post", "flop", ()))
+        job._on_fabric(0, ("msg", Envelope(0, 0, 1, 7, "after the posts")))
+        assert seen == [(0, "flip", False), (0, "flop", False)]
+        kind, env = child_fab[1].recv()
+        assert (kind, env.payload) == ("deliver", "after the posts")
+        assert not child_svc[0].poll(0)  # posts send no reply
+    finally:
+        for conn in (*job.fab, *job.svc, *child_fab, *child_svc):
+            conn.close()

@@ -1,6 +1,11 @@
 """Cat states (Fig. 4), datatypes, persistent channels, resource ledger."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from repro.qmpi import (
     type_vector,
     uncat,
 )
+from repro.qmpi.cat import _bfs_children
 from tests._precision import PROB_ABS
 
 
@@ -73,6 +79,82 @@ def test_cat_single_rank_is_plus():
         return qc.prob_one(q[0])
 
     assert qmpi_run(1, prog, seed=0).results[0] == pytest.approx(0.5, abs=PROB_ABS)
+
+
+def _cat_tree_state(graph=None, root=0) -> dict:
+    """A 4-rank ``cat_state_tree`` over ``graph``: amplitudes in rank order
+    and the EPR pair count (JSON-ready, for the subprocess test)."""
+
+    def prog(qc):
+        q = None
+        for r in range(qc.size):  # rank-ordered ids: deterministic vector
+            if qc.rank == r:
+                (q,) = qc.alloc_qmem(1)
+            qc.barrier()
+        cat_state_tree(qc, q, graph, root=root)
+        qc.barrier()
+        return q
+
+    w = qmpi_run(4, prog, seed=11)
+    vec = w.backend.statevector(list(w.results))
+    return {"re": vec.real.tolist(), "im": vec.imag.tolist(), "epr": w.ledger.epr_pairs}
+
+
+_NO_NETWORKX = """
+import json, sys
+sys.modules["networkx"] = None  # any import of networkx now fails
+import repro.qmpi
+from tests.qmpi.test_cat_and_misc import _cat_tree_state
+print(json.dumps(_cat_tree_state()))
+"""
+
+
+def test_cat_tree_needs_no_networkx():
+    import repro
+
+    root = Path(__file__).resolve().parents[2]
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NETWORKX],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    without = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert without["epr"] == 3
+
+    nx = pytest.importorskip("networkx")
+    heap = nx.Graph()
+    heap.add_nodes_from(range(4))
+    heap.add_edges_from(((i - 1) // 2, i) for i in range(1, 4))
+    explicit = _cat_tree_state(heap)
+    assert explicit["epr"] == without["epr"]
+    np.testing.assert_allclose(explicit["re"], without["re"], atol=PROB_ABS)
+    np.testing.assert_allclose(explicit["im"], without["im"], atol=PROB_ABS)
+
+
+def test_cat_tree_accepts_adjacency_mapping_and_root():
+    path = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
+    got = _cat_tree_state(path, root=2)
+    vec = np.array(got["re"]) + 1j * np.array(got["im"])
+    assert abs(vec[0]) ** 2 == pytest.approx(0.5, abs=PROB_ABS)
+    assert abs(vec[-1]) ** 2 == pytest.approx(0.5, abs=PROB_ABS)
+    assert got["epr"] == 3
+    with pytest.raises(RankFailure):
+        _cat_tree_state({0: [1], 1: [0], 2: [3], 3: [2]})  # two components
+
+
+def test_bfs_children_matches_networkx_bfs_tree():
+    nx = pytest.importorskip("networkx")
+    for seed in range(5):
+        g = nx.gnm_random_graph(9, 14, seed=seed)
+        adjacency = {n: list(g.neighbors(n)) for n in g}
+        for root in (0, 4):
+            tree = nx.bfs_tree(g, root)
+            expected = {n: list(tree.successors(n)) for n in tree.nodes()}
+            assert _bfs_children(g, root) == expected
+            assert _bfs_children(adjacency, root) == expected
 
 
 # ----------------------------------------------------------------------

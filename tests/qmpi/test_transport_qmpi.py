@@ -12,9 +12,14 @@ spawned rank processes) and allocate in rank order so qubit ids are
 deterministic across runs.
 """
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
+from repro.apps.tfim import annealing_program
 from repro.mpi import RankFailure
 from repro.qmpi import EprBufferFull, LocalityError, qmpi_run, qmpi_submit
 from repro.qmpi.jobs import JobRunner
@@ -104,6 +109,82 @@ def failing_prog(qc):
     return True
 
 
+def post_fails_last_prog(qc):
+    """Rank 1 posts a gate on rank 0's qubit and makes no later call."""
+    (q,) = _ordered_alloc(qc, 1)
+    if qc.rank == 1:
+        qc.backend.x(1, q - 1)  # posted: the parent rejects it
+    return True
+
+
+def _mark(path, where):
+    with open(path, "w") as f:
+        f.write(where)
+
+
+def post_then_call_prog(qc, marker):
+    """A failing post, then a synchronous call on the same rank."""
+    (q,) = _ordered_alloc(qc, 1)
+    if qc.rank == 1:
+        qc.backend.x(1, q - 1)
+        try:
+            qc.measure(q)
+        except LocalityError:
+            _mark(marker, "measure")
+            raise
+    return True
+
+
+def iprepare_fails_then_wait_prog(qc, marker):
+    """A posted iprepare that overflows S=1, then ``wait()`` on it."""
+    (a, b) = _ordered_alloc(qc, 2)
+    if qc.rank == 0:
+        qc.iprepare_epr(a, dest=1, tag=1)
+        req = qc.iprepare_epr(b, dest=1, tag=2)  # never registered
+        try:
+            req.wait()
+        except EprBufferFull:
+            _mark(marker, "wait")
+            raise
+    else:
+        qc.prepare_epr(a, dest=0, tag=1)
+    return True
+
+
+def causal_order_prog(qc, rounds):
+    """Rank 0 flips its qubit then messages rank 1, which reads the state."""
+    (q,) = _ordered_alloc(qc, 1)
+    qubits = [q, q + 1] if qc.rank == 0 else [q - 1, q]
+    seen = []
+    for i in range(rounds):
+        if qc.rank == 0:
+            qc.x(q)
+            qc.flush_ops()  # posts the flip
+            qc.comm.send(i, dest=1, tag=7)
+            qc.comm.recv(source=1, tag=8)  # rank 1 has read the state
+        else:
+            qc.comm.recv(source=0, tag=7)
+            vec = qc.backend.statevector(qubits)
+            seen.append(int(abs(vec[0b10]) ** 2 > 0.5))
+            qc.comm.send(i, dest=0, tag=8)
+    return seen
+
+
+def counted_anneal_prog(qc, steps):
+    """Listing 1 with every synchronous service call counted."""
+    rpc = qc.backend._rpc
+    real_call = rpc.call
+    calls = []
+
+    def counting_call(method, *args):
+        calls.append(method)
+        return real_call(method, *args)
+
+    rpc.call = counting_call
+    annealing_program(qc, 2, steps)
+    return len(calls)
+
+
 PROGRAMS = {
     "teleport": (teleport_prog, (0.7,)),
     "fanout": (fanout_prog, ()),
@@ -188,6 +269,64 @@ def test_mp_abort_unblocks_epr_wait():
         qmpi_run(2, failing_prog, transport="mp", timeout=30)
     assert set(ei.value.failures) == {1}
     assert isinstance(ei.value.failures[1], ValueError)
+
+
+# ----------------------------------------------------------------------
+# posted RPCs: deferred errors, causal order, round trips
+# ----------------------------------------------------------------------
+def _shm_entries():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.fixture
+def leaves_nothing_behind():
+    """The test's mp jobs leave no shm segment and no live child process."""
+    shm_before = _shm_entries()
+    children_before = {p.pid for p in multiprocessing.active_children()}
+    yield
+    assert _shm_entries() <= shm_before
+    assert {p.pid for p in multiprocessing.active_children()} <= children_before
+
+
+def test_mp_failed_post_without_later_call_surfaces_typed(leaves_nothing_behind):
+    with pytest.raises(RankFailure) as ei:
+        qmpi_run(2, post_fails_last_prog, transport="mp", timeout=30)
+    assert set(ei.value.failures) == {1}
+    assert isinstance(ei.value.failures[1], LocalityError)
+
+
+def test_mp_failed_post_raises_at_next_call(tmp_path, leaves_nothing_behind):
+    marker = tmp_path / "raised_at"
+    with pytest.raises(RankFailure) as ei:
+        qmpi_run(2, post_then_call_prog, args=(str(marker),), transport="mp", timeout=30)
+    assert isinstance(ei.value.failures[1], LocalityError)
+    assert marker.read_text() == "measure"
+
+
+def test_mp_failed_posted_iprepare_raises_at_wait(tmp_path, leaves_nothing_behind):
+    marker = tmp_path / "raised_at"
+    t0 = time.monotonic()
+    with pytest.raises(RankFailure) as ei:  # not a DeadlockError
+        qmpi_run(
+            2, iprepare_fails_then_wait_prog, args=(str(marker),),
+            s_limit=1, transport="mp", timeout=60,
+        )
+    assert isinstance(ei.value.failures[0], EprBufferFull)
+    assert marker.read_text() == "wait"
+    assert time.monotonic() - t0 < 30  # far inside the 60 s watchdog
+
+
+def test_mp_posts_land_before_a_later_message(leaves_nothing_behind):
+    rounds = 20
+    world = qmpi_run(2, causal_order_prog, args=(rounds,), transport="mp", timeout=60)
+    assert world.results[1] == [1 - i % 2 for i in range(rounds)]
+
+
+def test_mp_listing1_round_trips_per_step():
+    steps = 10
+    world = qmpi_run(2, counted_anneal_prog, args=(steps,), seed=0, transport="mp")
+    # Per step: 2 allocs + 2 measurements; everything else is posted.
+    assert all(n <= 4 * steps + 8 for n in world.results), world.results
 
 
 # ----------------------------------------------------------------------
