@@ -34,11 +34,12 @@ def main():
     args = ap.parse_args()
     if args.workers and args.backend != "sharded":
         ap.error("--workers requires --backend sharded")
-    backend_opts = {"workers": args.workers} if args.workers else None
+    # workers= is a sharded-engine keyword; the shared engine takes none.
+    opts = {"workers": args.workers} if args.workers else {}
 
     # Prebuild the backend so one spy counts what all ranks dispatch.
     backend = make_backend(args.backend, seed=0, n_ranks=args.ranks,
-                           **(backend_opts or {}))
+                           **opts)
     batches = []
     n_total = args.ranks * args.qubits
     orig = backend.apply_flush

@@ -17,7 +17,6 @@ the paper's listings.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Sequence
 
 from ..mpi.comm import Communicator
@@ -486,7 +485,6 @@ def qmpi_run(
     seed: int | None = 0,
     timeout: float = 120.0,
     backend: "str | type[QuantumBackend] | QuantumBackend" = "shared",
-    backend_opts: dict | None = None,
     fusion="auto",
     shots: int | None = None,
     transport="inproc",
@@ -512,10 +510,6 @@ def qmpi_run(
         :class:`~repro.qmpi.backend.QuantumBackend` instance. Plain
         ``"sharded"`` sizes the chunk count to ``n_ranks`` (next power of
         two). See :func:`repro.qmpi.backend.make_backend`.
-    backend_opts:
-        Deprecated — pass backend constructor options as plain keyword
-        arguments instead (see ``**backend_kw``). Still honored, with a
-        :class:`DeprecationWarning`; explicit keywords win on conflict.
     fusion:
         Per-rank gate-stream fusion: ``"auto"`` (default) buffers,
         fuses, coalesces diagonal runs into
@@ -561,15 +555,6 @@ def qmpi_run(
         ``spill_budget`` RAM budget (see
         :class:`~repro.sim.sharded.ShardedStateVector`).
     """
-    if backend_opts is not None:
-        warnings.warn(
-            "backend_opts is deprecated; pass backend options as plain "
-            "keyword arguments: qmpi_run(..., backend='sharded', "
-            "workers=2, n_shards=8)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        backend_kw = {**backend_opts, **backend_kw}
     if isinstance(backend, QuantumBackend) and seed == 0:
         # The default seed must not trigger the prebuilt-instance
         # warning in make_backend; only an explicit seed should.

@@ -30,9 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..sim import gates as _gates
 from ..sim.cache import ScheduleCache
-from ..sim.diag import DiagBatch
 from ..sim.parallel import PARALLEL_MIN_CHUNK
 from ..sim.schedule import DEFAULT_COST_MODEL, lower_flush
 from ..sim.sharded import ShardedStateVector
@@ -60,9 +58,14 @@ class LocalityError(SimulationError):
 class QuantumBackend:
     """Thread-safe engine facade with per-rank qubit ownership.
 
-    Subclasses supply the engine (anything with the
-    :class:`~repro.sim.statevector.StateVector` surface); this base class
-    owns the lock, the ownership table, and locality enforcement.
+    Subclasses supply the engine; this base class owns the lock, the
+    ownership table, and locality enforcement.  The engine needs the
+    :class:`~repro.sim.statevector.StateVector` surface, including
+    ``apply_ops``, ``begin_shots``, ``reseed``, ``apply_pauli_if``, a
+    ``_kernels`` dispatch and the schedule-cache API (``layout_key``,
+    ``compile_batch``, ``execute_segments``, ``freeze_segments``,
+    ``execute_frozen``); ``close`` is optional.  Both shipped engines
+    provide all of it.
 
     All gates funnel through :meth:`apply_ops`, the single batched entry
     point. Named gate methods (``h(rank, q)``, ``cnot(rank, c, t)``,
@@ -83,14 +86,10 @@ class QuantumBackend:
         self.shots: int | None = None
         self._measure_log: list[tuple[int, object]] = []
         #: The flush-schedule cache (see :mod:`repro.sim.cache`), or
-        #: ``None`` with ``cache="off"`` or an engine without the
-        #: cache API (``layout_key``/``compile_batch``/``execute_segments``).
-        self.schedule_cache: ScheduleCache | None = None
-        if cache == "on" and all(
-            hasattr(engine, m)
-            for m in ("layout_key", "compile_batch", "execute_segments")
-        ):
-            self.schedule_cache = ScheduleCache()
+        #: ``None`` with ``cache="off"``.
+        self.schedule_cache: ScheduleCache | None = (
+            ScheduleCache() if cache == "on" else None
+        )
 
     # ------------------------------------------------------------------
     # shot-batched mode
@@ -104,13 +103,7 @@ class QuantumBackend:
         :meth:`counts`. Must be called before any measurement.
         """
         with self._lock:
-            starter = getattr(self._sv, "begin_shots", None)
-            if starter is None:
-                raise SimulationError(
-                    f"engine {type(self._sv).__name__} does not support "
-                    "shot-batched execution (no begin_shots method)"
-                )
-            starter(shots)
+            self._sv.begin_shots(shots)
             self.shots = int(shots)
             self._measure_log = []
 
@@ -121,11 +114,7 @@ class QuantumBackend:
         reproducible RNG stream on a reused backend.
         """
         with self._lock:
-            reseeder = getattr(self._sv, "reseed", None)
-            if reseeder is not None:
-                reseeder(seed)
-            else:
-                self._sv.rng = np.random.default_rng(seed)
+            self._sv.reseed(seed)
             self._measure_log = []
 
     def counts(self) -> Counter:
@@ -239,11 +228,8 @@ class QuantumBackend:
         :func:`repro.sim.diag.coalesce_diagonals`) — and
         :class:`~repro.qmpi.ops.ContractionPlan` records — fused
         small-op windows (see :func:`repro.sim.plan.plan_contractions`).
-        Engines with their own ``apply_ops`` are expected to handle them
-        (the shipped engines apply one precomputed phase vector per
-        batch and one matmul per plan); the generic unroll for engines
-        without ``apply_ops`` expands batches through
-        ``DiagBatch.terms()`` and applies plans as plain unitaries.
+        The engine's ``apply_ops`` handles them (one precomputed phase
+        vector per batch and one matmul per plan).
         """
         ops = tuple(ops)
         if not ops:
@@ -251,20 +237,7 @@ class QuantumBackend:
         with self._lock:
             for op in ops:
                 self._check_owner(rank, *op.qubits)
-            sv_apply_ops = getattr(self._sv, "apply_ops", None)
-            if sv_apply_ops is not None:
-                sv_apply_ops(ops)
-            else:  # engines predating the op IR: unroll generically
-                for op in ops:
-                    if isinstance(op, DiagBatch):
-                        for qs, table in op.terms():
-                            self._sv.apply(np.diag(table), *qs)
-                    elif op.n_controls:
-                        self._sv.apply_controlled(
-                            op.target_matrix(), list(op.controls), list(op.targets)
-                        )
-                    else:
-                        self._sv.apply(op.target_matrix(), *op.targets)
+            self._sv.apply_ops(ops)
 
     def apply_flush(
         self,
@@ -287,6 +260,13 @@ class QuantumBackend:
         the parameters rebound instead of recompiling.  With
         ``cache="off"`` (or a cache bypass) the buffer is lowered and
         executed one-shot, through exactly the same numeric pipeline.
+
+        One-shot flushes reach the engine's ``apply_ops``
+        (``cache="off"``) or ``execute_segments`` (a cache bypass);
+        cache misses and hits replay the layout's frozen program
+        through ``execute_frozen``.  The sharded engine's
+        ``execute_segments`` is itself freeze-then-``execute_frozen``;
+        the shared engine's applies the segments op by op.
         """
         ops = tuple(ops)
         if not ops:
@@ -307,7 +287,7 @@ class QuantumBackend:
                     cost_model=cost_model,
                 )
                 return
-            lowered = tuple(
+            self._sv.apply_ops(
                 lower_flush(
                     list(ops),
                     n,
@@ -316,20 +296,6 @@ class QuantumBackend:
                     cost_model=cost_model,
                 )
             )
-            sv_apply_ops = getattr(self._sv, "apply_ops", None)
-            if sv_apply_ops is not None:
-                sv_apply_ops(lowered)
-            else:  # engines predating the op IR: unroll generically
-                for op in lowered:
-                    if isinstance(op, DiagBatch):
-                        for qs, table in op.terms():
-                            self._sv.apply(np.diag(table), *qs)
-                    elif op.n_controls:
-                        self._sv.apply_controlled(
-                            op.target_matrix(), list(op.controls), list(op.targets)
-                        )
-                    else:
-                        self._sv.apply(op.target_matrix(), *op.targets)
 
     def cache_info(self) -> dict | None:
         """Schedule-cache counters, or ``None`` when caching is off."""
@@ -338,20 +304,16 @@ class QuantumBackend:
                 return None
             return self.schedule_cache.info()
 
-    def kernel_info(self) -> dict | None:
-        """Native-kernel dispatch counters, or ``None`` without dispatch.
+    def kernel_info(self) -> dict:
+        """Native-kernel dispatch counters.
 
-        Engines without the kernel dispatch layer report ``None``.
         Mirrors :meth:`cache_info`: a snapshot dict with the resolved
         ``mode``/``provider``, jit hit / numpy fallback / csel counters,
         and the one-time provider compile time (see
         :meth:`repro.sim.kernels.KernelDispatch.info`).
         """
         with self._lock:
-            kd = getattr(self._sv, "_kernels", None)
-            if kd is None:
-                return None
-            return kd.info()
+            return self._sv._kernels.info()
 
     def apply(self, rank: int, u: np.ndarray, *qubits: int) -> None:
         """Apply an explicit ``2^k x 2^k`` unitary to ``k`` owned qubits.
@@ -395,16 +357,11 @@ class QuantumBackend:
         ``cond`` is a classical bit (plain conditional) or per-shot
         measurement data (:class:`~repro.sim.shots.ShotBits`) — the
         vectorized replacement for ``if m: backend.x(...)`` fixups in
-        the QMPI protocols. Engines without the conditional hook fall
-        back to eager application, which requires a scalar condition.
+        the QMPI protocols.
         """
         with self._lock:
             self._check_owner(rank, q)
-            applier = getattr(self._sv, "apply_pauli_if", None)
-            if applier is not None:
-                applier(cond, pauli, q)
-            elif cond:
-                self._sv.apply(_gates.PAULIS[pauli.upper()], q)
+            self._sv.apply_pauli_if(cond, pauli, q)
 
     def prob_one(self, rank: int, q: int) -> float:
         """Probability of measuring |1> on an owned qubit (no collapse)."""

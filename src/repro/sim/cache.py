@@ -536,9 +536,13 @@ class ScheduleCache:
 
         Key the buffer structurally; on a miss, lower once and remember
         the template; per engine layout, compile once and remember the
-        segments; then bind the payload and interpret.  Anything the
-        cache cannot key safely falls back to the one-shot
-        lower-compile-execute path (counted in ``bypasses``).
+        segments; then bind the payload and replay the layout's frozen
+        program.  Anything the cache cannot key safely falls back to the
+        one-shot lower-compile-execute path (counted in ``bypasses``).
+
+        ``engine`` must expose ``layout_key``, ``compile_batch``,
+        ``execute_segments`` (the bypass path), ``freeze_segments`` and
+        ``execute_frozen`` — both shipped engines do.
         """
         keyed = structural_key(
             ops, num_qubits, diag_batching, planning, cost_model
@@ -582,20 +586,16 @@ class ScheduleCache:
         else:
             entry.layouts.move_to_end(lk)
         segments = layout.bind(ids, payload)
-        # Engines exposing a freeze surface replay through a per-layout
-        # frozen program: the same arithmetic with the interpreter's
-        # per-op dispatch precompiled away (see ``freeze_segments`` on
-        # the engines).  The sharded engine additionally packs runs of
-        # strided steps into contiguous typed opcode arrays that the
-        # native kernel driver (:mod:`repro.sim.kernels`) walks in one
-        # call per chunk when ``kernels`` dispatch selects the jit path.
-        # The program references the live segment objects, so in-place
-        # rebinds flow through automatically — matrices are re-read at
-        # execute time, not freeze time.
-        execute_frozen = getattr(engine, "execute_frozen", None)
-        if execute_frozen is not None:
-            if layout.frozen is None:
-                layout.frozen = engine.freeze_segments(segments)
-            execute_frozen(layout.frozen)
-        else:
-            engine.execute_segments(segments)
+        # Replay through the layout's frozen program: the same
+        # arithmetic with the per-op dispatch precompiled away (see
+        # ``freeze_segments`` on the engines).  The sharded engine
+        # additionally packs runs of strided steps into contiguous typed
+        # opcode arrays that the native kernel driver
+        # (:mod:`repro.sim.kernels`) walks in one call per chunk when
+        # ``kernels`` dispatch selects the jit path.  The program
+        # references the live segment objects, so in-place rebinds flow
+        # through automatically — matrices are re-read at execute time,
+        # not freeze time.
+        if layout.frozen is None:
+            layout.frozen = engine.freeze_segments(segments)
+        engine.execute_frozen(layout.frozen)

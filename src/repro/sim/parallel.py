@@ -110,9 +110,10 @@ def contract_local(chunk: np.ndarray, u: np.ndarray, bits, n_local: int) -> None
 def apply_run(chunk: np.ndarray, run, n_local: int, ci: int, kernels=None) -> None:
     """Apply a run of communication-free kernels to one chunk.
 
-    ``run`` is a sequence of tagged entries, shared between the serial
-    engine loop and the pool workers so both paths execute identical
-    arithmetic:
+    ``run`` is a sequence of tagged entries.  The pool workers run it
+    whole; the engine's serial frozen replay calls it for ``ct``/``csel``
+    entries and mirrors the other kinds step for step, so both paths
+    execute identical arithmetic:
 
     * ``("sq", u, bit, diagonal)`` — a single-qubit 2x2 kernel: a
       local-axis strided pass or, for a diagonal on a shard axis, a

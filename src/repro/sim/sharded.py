@@ -36,10 +36,10 @@ While fewer than ``log2(R)`` qubits exist the engine runs with
 ``min(R, 2^n)`` active chunks and grows to the full shard count as qubits
 are allocated; releasing a high-axis qubit compacts the chunk list again.
 
-Batched execution interprets the compiled execution schedule
-(:mod:`repro.sim.schedule` — see :meth:`ShardedStateVector.apply_ops`):
-every record of a flushed batch is classified against the chunk layout
-exactly once, communication-free stretches execute chunk-by-chunk in
+Batched execution compiles the flushed batch into an execution schedule
+(:mod:`repro.sim.schedule` — see :meth:`ShardedStateVector.apply_ops`)
+and replays it frozen: every record is classified against the chunk
+layout exactly once, communication-free stretches execute chunk-by-chunk in
 one pass (kernel runs, plan sub-blocks, and
 :class:`~repro.sim.diag.DiagBatch` phase vectors materialized once per
 shard-bit signature), and only ``mixing`` segments exchange chunks.
@@ -728,8 +728,8 @@ class ShardedStateVector:
         The batch is compiled once into typed segments by
         :func:`repro.sim.schedule.compile_segments` — every record is
         classified against the chunk layout exactly once (local /
-        block-diagonal-shard-axes / mixing) — and this engine merely
-        *interprets* the segments: maximal communication-free stretches
+        block-diagonal-shard-axes / mixing) — then frozen and replayed
+        (:meth:`execute_segments`): maximal communication-free stretches
         execute chunk-by-chunk in one pass (kernel runs, sub-block
         selections and phase-vector multiplies), and only a ``mixing``
         segment exchanges chunks through the fabric.  With ``workers=N``
@@ -749,8 +749,8 @@ class ShardedStateVector:
         Pins each touched qubit's global bit position, the chunk
         boundary, the active chunk count, the presence of shot-branch
         rows, and the amplitude dtype — everything
-        :meth:`compile_batch`'s classification *and* the segment
-        interpreters depend on.  Equal keys mean a cached segment list
+        :meth:`compile_batch`'s classification *and* the frozen replay
+        depend on.  Equal keys mean a cached segment list
         compiled under one is exact under the other; unknown qubit ids
         raise, so a recycled engine can never bind a stale schedule.
         """
@@ -768,28 +768,17 @@ class ShardedStateVector:
         return compile_segments(ops, bit=self._bit, n_local=self.n_local)
 
     def execute_segments(self, segments) -> None:
-        """Interpret an already-compiled segment list (cache replay path)."""
-        for stretch, barrier in iter_stretches(segments):
-            self.segments_executed += len(stretch) + (0 if barrier is None else 1)
-            if stretch:
-                self._apply_stretch(stretch)
-            if barrier is None:
-                continue
-            if isinstance(barrier, PlanSegment):
-                # Shard-axis-mixing plan: one exchange for the whole
-                # fused run instead of one per constituent op.
-                self.apply(barrier.plan.u, *barrier.plan.qubits)
-            else:
-                op = barrier.op
-                if op.controls:
-                    self.apply_controlled(
-                        op.target_matrix(), list(op.controls), list(op.targets)
-                    )
-                else:
-                    self.apply(op.target_matrix(), *op.targets)
+        """Execute a compiled segment list: freeze it, then replay it.
+
+        One-shot flushes and the schedule cache's replays share
+        :meth:`execute_frozen`, so this engine has one segment
+        interpreter.  perfbench's engine layer hooks this method by
+        name.
+        """
+        self.execute_frozen(self.freeze_segments(segments))
 
     # ------------------------------------------------------------------
-    # frozen replay (schedule-cache warm path)
+    # frozen replay (every flush)
     # ------------------------------------------------------------------
     def freeze_segments(self, segments):
         """Freeze a bound segment list into a replay program.
@@ -804,7 +793,8 @@ class ShardedStateVector:
         once here.  Steps reference the live segment objects and re-read
         their entries on every execution, so the cache's in-place
         parameter rebinding flows through; the arithmetic on the
-        amplitudes is the interpreter's, expression for expression.
+        amplitudes is :func:`~repro.sim.parallel.apply_run`'s (the
+        worker path's), expression for expression.
         """
         nl = self.n_local
         n_chunks = len(self._chunks)
@@ -933,11 +923,6 @@ class ShardedStateVector:
         native = tuple(_pack_native(seq) for seq in raw_native)
         return tuple(tuple(s) for s in per_chunk), native
 
-    def _exec_frozen_run(self, frozen, nl) -> None:
-        """Run one frozen kernel fold chunk by chunk."""
-        for ci, chunk in enumerate(self._chunks):
-            self._exec_frozen_chunk(frozen, nl, ci, chunk)
-
     def _exec_frozen_chunk(self, frozen, nl, ci, chunk) -> None:
         """Replay one chunk's frozen kernel-fold program.
 
@@ -1023,7 +1008,13 @@ class ShardedStateVector:
                 apply_run(chunk, (st[1].entry,), nl, ci, kd)
 
     def execute_frozen(self, program) -> None:
-        """Replay a frozen program (same arithmetic as the interpreter)."""
+        """Replay a frozen program (see :meth:`freeze_segments`).
+
+        Every flush on this engine runs here: one-shot flushes through
+        :meth:`execute_segments`, cached ones straight from the
+        schedule cache.  A stretch the pool is ready for ships to the workers
+        (:meth:`_dispatch_stretch`); otherwise it runs serially.
+        """
         nl = self.n_local
         for step in program:
             if step[0] == "stretch":
@@ -1076,8 +1067,10 @@ class ShardedStateVector:
         communication-free :class:`~repro.sim.schedule.PlanSegment`
         entries, merged across segment boundaries) and
         ``("diag", batch)`` for each diagonal segment, in program
-        order.  Both the serial executor and the run-level pool
-        dispatch consume this, so the two paths cannot drift.
+        order.  The run-level pool dispatch (:meth:`_dispatch_stretch`)
+        ships these payloads to the workers, which run them through
+        :func:`~repro.sim.parallel.apply_run` — the arithmetic the
+        serial frozen replay mirrors step for step.
         """
         entries: list = []
         for seg in stretch:
@@ -1092,41 +1085,6 @@ class ShardedStateVector:
                 entries.append(seg.entry)
         if entries:
             yield ("run", tuple(entries))
-
-    def _apply_stretch(self, stretch) -> None:
-        """Execute one communication-free stretch of segments.
-
-        Serially this is one pass over each chunk per kernel run plus
-        one vectorized multiply per diagonal segment — identical
-        arithmetic to the worker path (:func:`repro.sim.parallel.apply_run`).
-        With the pool ready — a cost-aware decision: the segments' cost
-        tags weigh the stretch against the per-dispatch round-trip (see
-        :meth:`_parallel_ready`) — the whole stretch ships as one
-        ``("segments", ...)`` task per worker (see :meth:`_dispatch_stretch`).
-        """
-        if self._parallel_ready(sum(seg.cost for seg in stretch)):
-            self._dispatch_stretch(stretch)
-            return
-        nl = self.n_local
-        kd = self._kernels
-        # Chunk-major (see execute_frozen): prepare every fold, then one
-        # pass over the chunks applying all of them — each chunk is
-        # touched exactly once per communication-free stretch, which is
-        # what lets spilled registers stream through the page cache.
-        prepped = [
-            ("diag", self._prep_diag_batch(payload))
-            if kind == "diag"
-            else ("run", payload)
-            for kind, payload in self._fold_stretch(stretch)
-        ]
-        for ci, c in enumerate(self._chunks):
-            for kind, payload in prepped:
-                if kind == "run":
-                    apply_run(c, payload, nl, ci, kd)
-                else:
-                    vecs, sig_of = payload
-                    v = c.reshape((-1,) + (2,) * nl)
-                    v *= vecs[sig_of[ci]]
 
     def _batch_tables(self, batch: DiagBatch):
         """A batch's phase tables keyed by bit position (chunk layout)."""
@@ -1153,21 +1111,6 @@ class ShardedStateVector:
             singles, pairs, self.n_local, len(self._chunks), kernels=self._kernels
         )
         return vecs, sig_of
-
-    def _apply_diag_batch(self, batch: DiagBatch) -> None:
-        """Apply a coalesced diagonal batch as per-chunk phase vectors.
-
-        Each chunk updates with a single vectorized in-place multiply;
-        no chunk ever exchanges amplitudes, regardless of which axes the
-        batch touches.
-        """
-        nl = self.n_local
-        vecs, sig_of = self._prep_diag_batch(batch)
-        for ci, c in enumerate(self._chunks):
-            # Leading -1 axis folds in any shot-branch rows; the phase
-            # tensor (ndim nl) broadcasts over it right-aligned.
-            v = c.reshape((-1,) + (2,) * nl)
-            v *= vecs[sig_of[ci]]
 
     def _dispatch_stretch(self, stretch) -> None:
         """Ship a communication-free stretch to the pool, run-level.

@@ -339,7 +339,12 @@ class StateVector:
         return compile_segments(ops)
 
     def execute_segments(self, segments) -> None:
-        """Interpret an already-compiled segment list (cache replay path)."""
+        """Interpret a compiled segment list op by op (one-shot flushes).
+
+        The schedule cache runs :meth:`execute_frozen` instead, for
+        misses and hits alike.  perfbench's engine layer hooks this
+        method by name.
+        """
         for seg in segments:
             self.segments_executed += 1
             if isinstance(seg, KernelRun):

@@ -129,13 +129,13 @@ def test_qmpi_run_sharded_backend_instance_exposed():
     assert w.backend.n_shards == 2
 
 
-def test_qmpi_run_backend_opts_passthrough():
+def test_qmpi_run_backend_keyword_passthrough():
     w = qmpi_run(
         2,
         lambda qc: qc.backend.n_shards,
         seed=0,
         backend="sharded",
-        backend_opts={"n_shards": 8},
+        n_shards=8,
     )
     assert w.results == [8, 8]
 

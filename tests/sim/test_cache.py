@@ -7,6 +7,8 @@ cached segment list is never replayed once the engine layout key
 changes.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -572,28 +574,105 @@ def test_max_layouts_eviction():
     assert np.array_equal(be.statevector(), ref.statevector())
 
 
-def test_engine_without_freeze_surface_uses_segment_interpreter():
-    # Engines are only required to expose compile_batch/execute_segments;
-    # the frozen-replay surface is optional.
+def test_engine_surface_freezes_once_per_layout():
+    # The cache drives an engine through layout_key, compile_batch,
+    # freeze_segments and execute_frozen, and through execute_segments
+    # for buffers it cannot key.
     class _MiniEngine:
         def __init__(self):
-            self.executed = 0
+            self.layout = 0
+            self.calls = Counter()
 
         def layout_key(self, ids):
-            return ("mini", tuple(ids))
+            return ("mini", self.layout, tuple(ids))
 
         def compile_batch(self, lowered):
             return list(lowered)
 
         def execute_segments(self, segments):
-            self.executed += 1
+            self.calls["execute_segments"] += 1
+
+        def freeze_segments(self, segments):
+            self.calls["freeze_segments"] += 1
+            return tuple(segments)
+
+        def execute_frozen(self, program):
+            self.calls["execute_frozen"] += 1
 
     cache = ScheduleCache()
     eng = _MiniEngine()
     for _ in range(2):
         cache.execute(eng, (Op("rz", (0,), (0.3,)),), num_qubits=1)
-    assert eng.executed == 2
     assert cache.info()["hits"] == 1 and cache.info()["misses"] == 1
+    assert eng.calls == {"freeze_segments": 1, "execute_frozen": 2}
+    # A second layout of the same entry compiles and freezes once more.
+    eng.layout = 1
+    for _ in range(2):
+        cache.execute(eng, (Op("rz", (0,), (0.3,)),), num_qubits=1)
+    assert cache.info()["hits"] == 3 and cache.info()["misses"] == 1
+    assert eng.calls == {"freeze_segments": 2, "execute_frozen": 4}
+    # The same op object twice cannot be keyed: one-shot every flush.
+    op = Op("h", (0,))
+    for flushes in (1, 2):
+        cache.execute(eng, (op, op), num_qubits=1)
+        assert cache.info()["bypasses"] == flushes
+        assert eng.calls["execute_segments"] == flushes
+    assert eng.calls["freeze_segments"] == 2
+
+
+def _mixed_flush(q, theta):
+    # On 5 qubits over 4 chunks, q[0] and q[1] are the shard axes.
+    return [
+        Op("h", (q[2],)),
+        Op("h", (q[3],)),
+        Op("h", (q[4],)),
+        Op("rz", (q[0],), (theta,)),
+        Op("cphase", (q[1], q[3]), (0.9,)),
+        Op("t", (q[4],)),
+        Op("cnot", (q[3], q[4])),
+        Op("ry", (q[4],), (theta,)),
+        Op("cnot", (q[3], q[4])),
+        Op("h", (q[0],)),
+        Op("rx", (q[2],), (0.4,)),
+    ]
+
+
+def _run_mixed(be):
+    """Two flushes of ``_mixed_flush``; the segments each one executed."""
+    q = tuple(be.alloc(0, 5))
+    deltas = []
+    for theta in (0.3, 0.7):
+        before = be.raw().segments_executed
+        be.apply_flush(0, _mixed_flush(q, theta), cost_model=PLAN_CM)
+        deltas.append(be.raw().segments_executed - before)
+    return deltas
+
+
+def test_sharded_cold_warm_and_pooled_flushes_agree():
+    # One flush holding a diagonal batch, a contraction plan and a
+    # shard-axis exchange: the cold path (cache off), the warm replay
+    # and the worker pool give the same amplitudes and count the same
+    # segments (perfbench's engine.exec_calls reads that counter).
+    off = ShardedBackend(seed=0, n_shards=4, cache="off")
+    on = ShardedBackend(seed=0, n_shards=4)
+    off_deltas = _run_mixed(off)
+    on_deltas = _run_mixed(on)
+    (key,) = on.schedule_cache.keys()
+    (layout,) = on.schedule_cache._entries[key].layouts.values()
+    kinds = {type(seg).__name__ for seg in layout.segments}
+    assert {"DiagSegment", "PlanSegment", "ExchangeSegment"} <= kinds
+    assert on.cache_info()["hits"] == 1 and on.cache_info()["misses"] == 1
+    assert off_deltas == on_deltas and off_deltas[0] > 0
+    assert np.array_equal(off.statevector(), on.statevector())
+    pooled = ShardedBackend(
+        seed=0, n_shards=4, cache="off", workers=2, parallel_min_chunk=1
+    )
+    try:
+        assert _run_mixed(pooled) == off_deltas
+        assert pooled.raw()._pool.tasks_dispatched >= 1
+        assert np.array_equal(pooled.statevector(), off.statevector())
+    finally:
+        pooled.close()
 
 
 def test_parametric_generic_run_entries_rebind():

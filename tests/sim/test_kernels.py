@@ -11,7 +11,7 @@ whole-engine runs between ``kernels="jit"`` and ``kernels="numpy"``.
 import numpy as np
 import pytest
 
-from repro.qmpi.backend import QuantumBackend, ShardedBackend, SharedBackend, make_backend
+from repro.qmpi.backend import ShardedBackend, SharedBackend, make_backend
 from repro.qmpi.ops import Op
 from repro.sim import ShardedStateVector, StateVector, coalesce_diagonals
 from repro.sim import kernels as K
@@ -499,13 +499,6 @@ def test_backend_kernel_info_and_validation():
     assert make_backend("sharded", seed=1, kernels="numpy").kernel_info()["mode"] == (
         "numpy"
     )
-
-
-def test_backend_kernel_info_none_without_dispatch():
-    class Legacy:
-        pass
-
-    assert QuantumBackend(Legacy()).kernel_info() is None
 
 
 def test_frozen_replay_jit_vs_numpy_bitwise():

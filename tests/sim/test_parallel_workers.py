@@ -114,7 +114,7 @@ def test_qmpi_run_with_workers_matches_serial(n_ranks):
     base = qmpi_run(n_ranks, prog, seed=0, backend="sharded")
     pooled = qmpi_run(
         n_ranks, prog, seed=0, backend="sharded",
-        backend_opts={"workers": 2, "parallel_min_chunk": 1},
+        workers=2, parallel_min_chunk=1,
     )
     try:
         order = [q for block in base.results for q in block]
